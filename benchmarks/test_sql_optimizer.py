@@ -1,10 +1,9 @@
-"""Optimizer + parallel-engine benchmark: ``shredding_opt`` vs the paper
-pipeline.
+"""Optimizer benchmark: ``shredding_opt`` vs the paper pipeline.
 
 Times the uncached ``shredding`` baseline (cold compile + per-path execute
 + stitch, the Fig. 11 system) against ``shredding_opt`` — plan cache, the
-logical SQL optimizer of :mod:`repro.sql.optimizer` and the thread-parallel
-pooled executor — for Q1–Q6 at the largest seed scale, plus an engine-held-
+logical SQL optimizer of :mod:`repro.sql.optimizer` and the batched
+executor — for Q1–Q6 at the largest seed scale, plus an engine-held-
 constant ablation (batched engine with the optimizer on vs off) so the
 optimizer's own contribution is recorded, not just the cache's.
 
@@ -71,7 +70,7 @@ def sweep_results():
     identical = {}
     for name in QUERIES:
         query = NESTED_QUERIES[name]
-        # Warm-up (cold compile + index creation + scan materialisation),
+        # Warm-up (cold compile + index creation),
         # doubling as the in-suite value-identity check: optimizer-on must
         # be bag-identical to optimizer-off on every engine.
         baseline_value = ShreddingPipeline(db.schema).run(query, db)
@@ -79,11 +78,11 @@ def sweep_results():
             bag_equal(
                 baseline_value, pipeline.run(query, db, engine=engine)
             )
-            for engine in ("per-path", "batched", "parallel")
+            for engine in ("per-path", "batched")
         )
         assert identical[name], f"{name}: optimised values diverge"
         optimized[name] = median_millis(
-            lambda q=query: pipeline.run(q, db, engine="parallel")
+            lambda q=query: pipeline.run(q, db, engine="batched")
         )
 
     # Engine-held-constant ablation: batched engine, optimizer on vs off,
@@ -122,7 +121,7 @@ def sweep_results():
                 lambda q=query: ShreddingPipeline(db.schema).run(q, db)
             )
             optimized[name] = median_millis(
-                lambda q=query: pipeline.run(q, db, engine="parallel")
+                lambda q=query: pipeline.run(q, db, engine="batched")
             )
 
     results = {
@@ -133,7 +132,6 @@ def sweep_results():
             "repeats": max(3, REPEATS),
         },
         "plan_cache": cache.stats(),
-        "pool_size": db.pool_size,
         "queries": {
             name: {
                 "shredding_ms": round(uncached[name], 3),

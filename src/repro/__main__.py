@@ -2,7 +2,7 @@
 
     python -m repro sql Q6               # the SQL a paper query shreds into
     python -m repro run Q6               # run it on the Fig. 3 instance
-    python -m repro run Q6 --engine parallel --stats
+    python -m repro run Q6 --engine per-path --stats
     python -m repro trace Q6             # traced run: the nested span tree
     python -m repro serve --port 7411    # the asyncio query service
     python -m repro serve --shard 0/4    # one slice of a sharded deployment
@@ -69,7 +69,6 @@ def _explain_sql(query, options) -> str:
     EXPLAIN QUERY PLAN on the Fig. 3 instance."""
     from dataclasses import replace
 
-    from repro.backend.executor import shared_scan_tables
     from repro.pipeline.shredder import ShreddingPipeline
     from repro.shred.packages import annotations
     from repro.sql.optimizer import statement_rule_names
@@ -97,31 +96,20 @@ def _explain_sql(query, options) -> str:
     for flag, description in statement_rule_names:
         state = "on" if getattr(optimized.options, flag) else "off"
         lines.append(f"  {flag:<14} [{state:>3}] {description}")
-    lines.append(
-        f"  {'opt_shared':<14} "
-        f"[{'on' if optimized.options.opt_shared else 'off':>3}] "
-        f"cross-statement shared scans "
-        f"({len(optimized.shared_scans)} hoisted here)"
+    pairs = zip(
+        annotations(plain.sql_package), annotations(optimized.sql_package)
     )
-    with shared_scan_tables(db, optimized.shared_scans):
-        for scan in optimized.shared_scans:
-            lines.append("")
-            lines.append(f"== shared scan {scan.name} (materialised once) ==")
-            lines.append(scan.create_sql)
-        pairs = zip(
-            annotations(plain.sql_package), annotations(optimized.sql_package)
-        )
-        for (path, before), (_path, after) in pairs:
-            lines.append("")
-            lines.append(f"== query at path {path} ==")
-            lines.append("-- unoptimised")
-            lines.append(before.sql)
-            lines.append("   plan:")
-            lines.extend(query_plan(before.sql))
-            lines.append("-- optimised")
-            lines.append(after.sql)
-            lines.append("   plan:")
-            lines.extend(query_plan(after.sql))
+    for (path, before), (_path, after) in pairs:
+        lines.append("")
+        lines.append(f"== query at path {path} ==")
+        lines.append("-- unoptimised")
+        lines.append(before.sql)
+        lines.append("   plan:")
+        lines.extend(query_plan(before.sql))
+        lines.append("-- optimised")
+        lines.append(after.sql)
+        lines.append("   plan:")
+        lines.extend(query_plan(after.sql))
     return "\n".join(lines)
 
 
@@ -452,9 +440,9 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument("query")
     run.add_argument(
         "--engine",
-        choices=["auto", "per-path", "batched", "parallel"],
+        choices=["auto", "per-path", "batched"],
         default="auto",
-        help="execution engine (auto picks from the package shape)",
+        help="execution engine (auto = batched)",
     )
     run.add_argument(
         "--stats",
@@ -479,7 +467,7 @@ def main(argv: list[str] | None = None) -> int:
     trace.add_argument("query")
     trace.add_argument(
         "--engine",
-        choices=["auto", "per-path", "batched", "parallel"],
+        choices=["auto", "per-path", "batched"],
         default="auto",
     )
     trace.add_argument(

@@ -23,7 +23,7 @@ One import gives the whole paper pipeline behind a stable surface::
     session.run(staff_by_dept).to_dicts()
 
     # 3. hand-built λNRC terms (repro.nrc.builders) still work
-    session.query(Q6).run(engine="parallel")
+    session.query(Q6).run(engine="per-path")
 
 Everything below this module — :class:`~repro.pipeline.shredder.
 ShreddingPipeline`, the executors, the optimizer — is engine internals;
@@ -33,12 +33,7 @@ the old entry points remain as deprecated shims.
 from repro.api.capture import CapturedQuery, query
 from repro.api.fluent import Expr, Query, TermQuery, as_term, param
 from repro.api.results import Prepared, Result, Runnable
-from repro.api.session import (
-    PARALLEL_THRESHOLD,
-    Session,
-    connect,
-    connect_sharded,
-)
+from repro.api.session import Session, connect, connect_sharded
 from repro.nrc.ast import Param
 from repro.sql.codegen import SqlOptions
 
@@ -58,5 +53,4 @@ __all__ = [
     "Runnable",
     "SqlOptions",
     "as_term",
-    "PARALLEL_THRESHOLD",
 ]

@@ -123,7 +123,7 @@ class Prepared(Runnable):
         """Execute on the session's database and stitch the nested result.
 
         ``engine`` defaults to the session's engine policy (``"auto"``
-        resolves from the package shape — see
+        resolves to ``"batched"`` — see
         :meth:`~repro.api.session.Session.resolve_engine`); ``collection``
         selects bag/set/list semantics; extra keyword arguments
         (``params`` for host-parameter bindings, ``batch_size``,
@@ -141,9 +141,9 @@ class Prepared(Runnable):
             from repro.obs import Tracer
 
             tracer = trace if isinstance(trace, Tracer) else Tracer()
+        resolved = self._session.resolve_engine(engine)
         if tracer is None:
             compiled = self._ensure_compiled()
-            resolved = self._session.resolve_engine(engine, compiled)
             run_stats = ExecutionStats()
             value = compiled.run(
                 self._session.db,
@@ -155,7 +155,6 @@ class Prepared(Runnable):
         else:
             with tracer.span("query") as root:
                 compiled = self._ensure_compiled(tracer)
-                resolved = self._session.resolve_engine(engine, compiled)
                 root.set(engine=resolved, statements=compiled.query_count)
                 run_stats = ExecutionStats()
                 value = compiled.run(
@@ -228,16 +227,14 @@ class Prepared(Runnable):
         from dataclasses import asdict
 
         compiled = self.compiled
-        resolved = self._session.resolve_engine(None, compiled)
         payload: dict = {
             "engine": {
                 "policy": self._session.engine,
-                "resolved": resolved,
+                "resolved": self._session.resolve_engine(),
             },
             "optimizer": {
                 "enabled": compiled.options.optimize,
                 "fired_rules": list(compiled.fired_rules),
-                "shared_scans": len(compiled.shared_scans),
             },
             "plan_cache": self._session.pipeline.cache is not None,
             "result_type": str(compiled.result_type),
@@ -261,17 +258,12 @@ class Prepared(Runnable):
 
     def _explain_text(self) -> str:
         compiled = self.compiled
-        resolved = self._session.resolve_engine(None, compiled)
+        resolved = self._session.resolve_engine()
         header = [
             f"engine         : {self._session.engine}"
             + (f" → {resolved}" if self._session.engine == "auto" else ""),
             f"optimizer      : "
-            f"{'on' if compiled.options.optimize else 'off'}"
-            + (
-                f" ({len(compiled.shared_scans)} shared scans hoisted)"
-                if compiled.options.optimize
-                else ""
-            ),
+            f"{'on' if compiled.options.optimize else 'off'}",
         ]
         if compiled.options.optimize:
             header.append(

@@ -8,13 +8,11 @@ policy* — everything PRs 1–2 built, behind a single object::
 
     session = connect(figure3_database())          # engine="auto", cached
     result = session.table("departments").select("name").run()
-    session.query(Q6).run(engine="parallel")       # hand-built λNRC terms
+    session.query(Q6).run(engine="per-path")       # hand-built λNRC terms
 
-``engine="auto"`` (the default) picks the executor from the compiled
-package's shape: single-statement packages run batched (index advisement +
-one-pass stitch without thread overhead), packages of
-:data:`PARALLEL_THRESHOLD` or more statements fan out across the read-only
-connection pool.  Explicit engines are validated against
+``engine="auto"`` (the default) is the accepted spelling of ``"batched"``:
+every package runs its statements in order on one connection, with index
+advisement and one-pass stitching.  Explicit engines are validated against
 :data:`~repro.pipeline.shredder.KNOWN_ENGINES` up front.
 """
 
@@ -34,18 +32,12 @@ from repro.nrc import ast
 from repro.nrc.schema import Schema
 from repro.pipeline.shredder import (
     KNOWN_ENGINES,
-    CompiledQuery,
     ShreddingPipeline,
     validate_engine,
 )
 from repro.sql.codegen import SqlOptions
 
-__all__ = ["Session", "connect", "connect_sharded", "PARALLEL_THRESHOLD"]
-
-#: Package size (number of flat statements) from which ``engine="auto"``
-#: prefers the parallel executor: below this, thread fan-out costs more
-#: than overlapping two or fewer statements can recover.
-PARALLEL_THRESHOLD = 3
+__all__ = ["Session", "connect", "connect_sharded"]
 
 #: Cap on the session-lifetime per-query sample lists: after each merge,
 #: samples beyond this are folded into exact aggregates
@@ -77,7 +69,7 @@ class Session:
         as assertions).
 
     Sessions are context managers: leaving the ``with`` block closes the
-    pooled SQLite connections (the Python-side rows survive — a later query
+    SQLite connections (the Python-side rows survive — a later query
     rebuilds lazily).
     """
 
@@ -299,18 +291,13 @@ class Session:
                 "millis": round(self.stats.total_millis, 3),
             }
 
-    def resolve_engine(
-        self, engine: str | None, compiled: CompiledQuery
-    ) -> str:
-        """Validate ``engine`` and resolve ``"auto"`` from package shape."""
+    def resolve_engine(self, engine: str | None = None) -> str:
+        """Validate ``engine`` (default: the session's) and resolve
+        ``"auto"`` to ``"batched"``."""
         if engine is None:
             engine = self.engine
         validate_engine(engine, extra=("auto",))
-        if engine != "auto":
-            return engine
-        if compiled.query_count >= PARALLEL_THRESHOLD:
-            return "parallel"
-        return "batched"
+        return "batched" if engine == "auto" else engine
 
     # ----------------------------------------------------------------- data
 
@@ -346,7 +333,7 @@ class Session:
         return session
 
     def close(self) -> None:
-        """Close the SQLite materialisation and its read pool."""
+        """Close the SQLite materialisation and its readers."""
         self.db._dispose_connection()
 
     def __enter__(self) -> "Session":

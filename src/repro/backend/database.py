@@ -106,20 +106,11 @@ class Database:
         self._canonical: dict[str, list[dict]] = {}
         self._connection: sqlite3.Connection | None = None
         self._memory_uri: str | None = None
-        self._read_pool: list[sqlite3.Connection] = []
         self._dedicated_readers: list[sqlite3.Connection] = []
         self._ensured_indexes: dict[tuple[str, tuple[str, ...]], str] = {}
         self._stats_stale = False
-        #: Live shared-scan materialisations by table name → [holders,
-        #: data_version at creation] (see acquire/release_shared_scan):
-        #: concurrent runs of plans sharing a content-addressed scan must
-        #: not drop it under each other, and a scan created before an
-        #: insert must not serve runs that started after it.
-        self._scan_refs: dict[str, list[int]] = {}
-        #: Bumped on every insert; lets scan holders detect staleness.
-        self._data_version = 0
-        # Serialises connection building, index DDL, ANALYZE and pool
-        # growth: the service layer drives this object from many handler
+        # Serialises connection building, index DDL, ANALYZE and reader
+        # creation: the service layer drives this object from many handler
         # threads at once.  Reentrant — ensure_index / refresh_statistics
         # call connection() while holding it.
         self._setup_lock = threading.RLock()
@@ -185,10 +176,6 @@ class Database:
         self._canonical.pop(table_schema.name, None)
         if not added:
             return
-        # The version bump and the SQLite apply are one unit under the
-        # setup lock: a shared-scan acquirer must never observe the new
-        # version while the store still holds the old rows.
-        self._data_version += 1
         if self._ensured_indexes:
             self._stats_stale = True  # table sizes shifted under ANALYZE
         if self._connection is None:
@@ -206,8 +193,8 @@ class Database:
 
         try:
             # Briefly retry on shared-cache lock contention (a leased
-            # reader mid-statement): disposing would close pooled
-            # connections other threads are still using.
+            # reader mid-statement): disposing would close leased
+            # readers other threads are still using.
             self._retry_locked(apply)
         except sqlite3.Error:
             # e.g. a declared-key violation: fall back to the lazy
@@ -248,7 +235,6 @@ class Database:
             return
         self._rows[table_schema.name].extend(added)
         self._canonical.pop(table_schema.name, None)
-        self._data_version += 1
         if self._ensured_indexes:
             self._stats_stale = True
 
@@ -261,7 +247,7 @@ class Database:
         every shard (the :mod:`repro.shard` placement policy provides this
         function).  Rows are copied, so the partition owns its data: a
         later :meth:`insert` on either database never aliases the other's
-        shared-scan versioning or canonical-order caches.
+        canonical-order caches.
         """
         tables: dict[str, list[dict]] = {}
         for table_schema in self.schema.tables:
@@ -351,12 +337,12 @@ class Database:
         if self._path is not None:
             return self._build_durable_connection()
         # A *named* shared-cache in-memory database instead of a private
-        # ":memory:" one: extra read-only connections (the parallel
-        # executor's pool) can attach to the same store by URI.  The store
-        # lives while at least one connection is open — the cached writer
+        # ":memory:" one: extra read-only connections (the service's leased
+        # readers) can attach to the same store by URI.  The store lives
+        # while at least one connection is open — the cached writer
         # connection anchors it.  Each build gets a fresh name so a
         # disposed-and-rebuilt connection never sees stale tables through
-        # pool connections that outlived the disposal.
+        # readers that outlived the disposal.
         self._memory_uri = (
             f"file:repro-mem-{os.getpid()}-{next(_MEMORY_NAMES)}"
             f"?mode=memory&cache=shared"
@@ -508,7 +494,7 @@ class Database:
         """Run a query, returning the live cursor (for ``fetchmany``
         streaming — the executors' bounded-memory path).
 
-        ``connection`` routes the query to a specific (pooled) connection;
+        ``connection`` routes the query to a specific (leased) connection;
         default is the shared writer connection.
         """
         try:
@@ -530,7 +516,7 @@ class Database:
 
         The executors' streaming loop: peak raw-row memory is one chunk,
         and decoding happens chunk by chunk.  ``connection`` routes the
-        stream to a specific (pooled) connection.
+        stream to a specific (leased) connection.
         """
         if batch_size < 1:
             raise BackendError(f"batch size must be ≥1, got {batch_size}")
@@ -606,35 +592,17 @@ class Database:
             self._stats_stale = False
             return True
 
-    def read_connections(self, count: int) -> list[sqlite3.Connection]:
-        """``count`` pooled read-only connections to the live materialisation.
-
-        The pool shares the writer connection's in-memory store (named
-        shared-cache URI), so committed writes — table loads, advisory
-        indexes, ANALYZE statistics, materialised shared scans — are
-        visible to every reader.  Readers are created lazily, reused
-        across calls, and opened with ``PRAGMA query_only=ON`` so a
-        mis-routed statement cannot mutate the database.  Each connection
-        is intended for *exclusive* use by one thread at a time (the
-        parallel executor checks one out per worker); SQLite itself runs
-        in serialized threading mode.
-        """
-        if count < 1:
-            raise BackendError(f"pool size must be ≥1, got {count}")
-        with self._setup_lock:
-            self.connection()  # materialise (and pin the URI) first
-            while len(self._read_pool) < count:
-                self._read_pool.append(self._open_reader())
-            return self._read_pool[:count]
-
     def dedicated_read_connections(self, count: int) -> list[sqlite3.Connection]:
-        """``count`` fresh read-only connections *outside* the shared pool.
+        """``count`` fresh read-only connections to the live store.
 
-        The service layer leases these one-per-request: unlike
-        :meth:`read_connections` (whose pool prefix every parallel-engine
-        run reuses), dedicated readers are owned by the caller, so no other
-        executor can stripe work onto a connection a request currently
-        holds.  They are still closed by :meth:`_dispose_connection`.
+        The service layer leases these one-per-request.  Each shares the
+        writer's store (named shared-cache URI, or the WAL file of a
+        durable store), so committed writes — table loads, advisory
+        indexes, ANALYZE statistics — are visible to it, and each is
+        opened with ``PRAGMA query_only=ON`` so a mis-routed statement
+        cannot mutate the database.  Readers are owned by the caller
+        (one thread at a time) and closed by :meth:`_dispose_connection`
+        or :meth:`release_dedicated_reader`.
         """
         if count < 1:
             raise BackendError(f"pool size must be ≥1, got {count}")
@@ -670,79 +638,6 @@ class Database:
         reader.execute("PRAGMA query_only=ON")
         return reader
 
-    @property
-    def pool_size(self) -> int:
-        """How many pooled read connections are currently open."""
-        return len(self._read_pool)
-
-    def acquire_shared_scan(self, scan) -> None:
-        """Materialise ``scan`` (a :class:`~repro.sql.optimizer.SharedScan`)
-        for one run, ref-counted across concurrent runs.
-
-        Scans are content-addressed, so two in-flight runs of plans sharing
-        a subplan want the *same* table: the first holder creates it, the
-        last one drops it.  A scan created *before* an insert never serves
-        a run that starts *after* it — the acquirer waits for the stale
-        holders to drain and recreates the table (scans are a function of
-        the table contents, so reuse across a mutation would stitch
-        inconsistent results).  The DDL retries briefly on SQLITE_LOCKED:
-        shared-cache schema changes cannot proceed while a leased reader
-        has a statement in flight, and those statements are short-lived.
-        """
-        deadline = time.monotonic() + 10.0
-        while True:
-            with self._setup_lock:
-                entry = self._scan_refs.get(scan.name)
-                if entry is not None and entry[1] == self._data_version:
-                    entry[0] += 1
-                    return
-                if entry is None:
-                    # Fresh (or crashed-run leftover) — (re)materialise.
-                    self._retry_locked(
-                        lambda: (
-                            self.execute_cursor(scan.drop_sql),
-                            self.execute_cursor(scan.create_sql),
-                            self.connection().commit(),
-                        )
-                    )
-                    self._scan_refs[scan.name] = [1, self._data_version]
-                    return
-                # Live but stale (an insert landed while held): wait for
-                # the current holders to drain, then recreate.
-            if time.monotonic() > deadline:
-                raise BackendError(
-                    f"shared scan {scan.name} held stale for >10s"
-                )
-            time.sleep(0.002)
-
-    def release_shared_scan(self, scan) -> None:
-        """Drop one hold on ``scan``; the last release drops the table."""
-        with self._setup_lock:
-            entry = self._scan_refs.get(scan.name)
-            if entry is None:
-                return
-            entry[0] -= 1
-            if entry[0] > 0:
-                return
-            self._scan_refs.pop(scan.name, None)
-            try:
-                self._retry_locked(
-                    lambda: (
-                        self.execute_cursor(scan.drop_sql),
-                        self.connection().commit(),
-                    )
-                )
-            except (BackendError, sqlite3.OperationalError) as error:
-                cause = (
-                    error.__cause__
-                    if isinstance(error, BackendError)
-                    else error
-                )
-                if not _is_locked(cause):
-                    raise
-                # Persistently locked: leave the table behind — the next
-                # acquire at refcount 0 drops and recreates it anyway.
-
     def _retry_locked(self, action, timeout: float = 2.0) -> None:
         """Run ``action`` retrying on SQLITE_LOCKED (shared-cache schema
         locks held by in-flight reader statements clear in milliseconds)."""
@@ -758,13 +653,9 @@ class Database:
             time.sleep(0.002)
 
     def _dispose_connection(self) -> None:
-        for reader in self._read_pool:
-            reader.close()
-        self._read_pool.clear()
         for reader in self._dedicated_readers:
             reader.close()
         self._dedicated_readers.clear()
-        self._scan_refs.clear()  # the store (and its scan tables) is gone
         if self._connection is not None:
             self._connection.close()
             self._connection = None

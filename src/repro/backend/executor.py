@@ -1,7 +1,7 @@
 """SQL execution: run compiled shredded queries, count round trips, and
-batch whole packages through one connection — or fan them out in parallel.
+batch whole packages through one connection.
 
-Three execution engines serve a compiled shredded package:
+Two execution engines serve a compiled shredded package:
 
 * :func:`execute_compiled` — the per-path engine: one call per shredded
   query, streaming rows in ``fetchmany`` batches and decoding each into
@@ -14,20 +14,10 @@ Three execution engines serve a compiled shredded package:
   them directly.  Before executing it creates (and reuses across runs)
   SQLite indexes on the base-table columns the generated SQL sorts and
   joins on.
-* the **parallel** engine (``execute_package_batched(parallel=True)``) —
-  the batched engine fanned across a pool of read-only connections
-  (:meth:`Database.read_connections`), one worker thread per package
-  member.  The sqlite3 module releases the GIL inside each C-level step,
-  so one statement's Python-side decode overlaps another's SQLite
-  evaluation.  Index advisement, ANALYZE and shared-scan materialisation
-  happen on the writer connection *before* the fan-out; per-query stats
-  are recorded in package order after every worker joins, so
-  :class:`ExecutionStats` stay deterministic under any scheduling.
 
-Packages whose statements were optimised by :mod:`repro.sql.optimizer` may
-carry :class:`~repro.sql.optimizer.SharedScan` preludes; both package
-engines materialise them once per run (and drop them afterwards) via
-:func:`shared_scan_tables`.
+Both run a package's statements in order on one connection — the writer,
+or a reader the caller leased — spawn no threads and issue no DDL beyond
+the advisory indexes.
 
 :class:`ExecutionStats` counts queries and rows (the intro's N+1 "query
 avalanche" metric is #queries issued), records per-query wall time, and
@@ -38,8 +28,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.backend.database import Database
@@ -62,21 +50,11 @@ __all__ = [
     "execute_compiled",
     "execute_package_batched",
     "ensure_compiled_indexes",
-    "shared_scan_tables",
     "DEFAULT_FETCH_BATCH",
-    "DEFAULT_POOL_SIZE",
 ]
 
 #: Rows fetched per cursor round trip (satellite: stream, don't fetchall).
 DEFAULT_FETCH_BATCH = int(os.environ.get("REPRO_FETCH_BATCH", "1024"))
-
-#: Upper bound on pooled read connections for the parallel engine.  Floor
-#: of 2 even on single-core hosts: sqlite3 releases the GIL inside each C
-#: step, so one worker's Python-side decode still overlaps another's
-#: SQLite evaluation.
-DEFAULT_POOL_SIZE = int(
-    os.environ.get("REPRO_POOL_SIZE", str(min(8, max(2, os.cpu_count() or 4))))
-)
 
 
 @dataclass
@@ -142,14 +120,8 @@ class ExecutionStats:
             self.cache_misses += 1
 
     def merge(self, other: "ExecutionStats") -> None:
-        """Fold another stats object into this one (order-preserving).
-
-        Utility for aggregating stats across separate runs or carriers.
-        Note the parallel engine does *not* need it internally: workers
-        return raw ``(rows, millis)`` outcomes and the coordinator records
-        them in package order after all workers join, which already makes
-        a parallel run's stats identical to a sequential run's.
-        """
+        """Fold another stats object into this one (order-preserving):
+        aggregates stats across separate runs or carriers."""
         self.queries += other.queries
         self.rows_fetched += other.rows_fetched
         self.per_query_rows.extend(other.per_query_rows)
@@ -227,7 +199,7 @@ def execute_compiled(
     ``REPRO_FETCH_BATCH``, 1024) instead of one monolithic ``fetchall``,
     bounding peak raw-row memory; decoding happens per chunk.  ``params``
     supplies host-parameter values (bound per statement); ``connection``
-    routes execution to a specific (pooled) connection.  ``tracer`` (a
+    routes execution to a specific (leased) connection.  ``tracer`` (a
     :class:`repro.obs.Tracer`) receives a ``statement`` span with
     ``sql``/``decode`` children.
     """
@@ -258,35 +230,10 @@ def _record_statement_span(
     tracer, rows: int, millis: float, decode_millis: float, **attributes
 ) -> None:
     """Attach one executed statement's span (with ``sql``/``decode``
-    children) at the tracer's current position.  Always called from the
-    coordinating thread, in package order — never from workers."""
+    children) at the tracer's current position."""
     span = tracer.record("statement", millis, rows=rows, **attributes)
     span.record("sql", max(millis - decode_millis, 0.0))
     span.record("decode", decode_millis)
-
-
-@contextmanager
-def shared_scan_tables(db: Database, shared_scans=()):
-    """Materialise a package's shared scans for the duration of a run.
-
-    Each scan is created on the *writer* connection and committed, so the
-    pooled readers of the parallel engine see it; the scans are dropped
-    when no in-flight run holds them any more (the scan's rows are a
-    function of the table contents, so caching across *disjoint* runs
-    would go stale under inserts).  Acquisition is ref-counted on the
-    :class:`Database` — concurrent service requests executing plans that
-    share a content-addressed scan reuse one materialisation instead of
-    dropping it under each other.
-    """
-    acquired = []
-    try:
-        for scan in shared_scans:
-            db.acquire_shared_scan(scan)
-            acquired.append(scan)
-        yield
-    finally:
-        for scan in acquired:
-            db.release_shared_scan(scan)
 
 
 def _run_one_grouped(
@@ -298,10 +245,8 @@ def _run_one_grouped(
 ) -> tuple[dict, int, float, float]:
     """Execute one compiled query, pre-grouping by outer index.
 
-    Returns ``(grouped, rows, millis, decode_millis)`` so callers can
-    record stats (and trace spans) in a deterministic order regardless
-    of which connection/thread ran it; ``decode_millis`` is the share of
-    ``millis`` spent in Python-side row decoding.
+    Returns ``(grouped, rows, millis, decode_millis)``; ``decode_millis``
+    is the share of ``millis`` spent in Python-side row decoding.
     """
     started = time.perf_counter()
     decode_outer, decode_item = compiled.key_decoders()
@@ -334,9 +279,6 @@ def execute_package_batched(
     stats: ExecutionStats | None = None,
     create_indexes: bool = True,
     batch_size: int | None = None,
-    parallel: bool = False,
-    max_workers: int | None = None,
-    shared_scans=(),
     params=None,
     connection=None,
     tracer=None,
@@ -351,30 +293,17 @@ def execute_package_batched(
     keys are the bare ``(tag, dyn)`` tuples of
     :meth:`~repro.sql.codegen.CompiledSql.key_decoders`.
 
-    ``parallel`` fans the package's statements across pooled read-only
-    connections (one worker thread per member, capped by ``max_workers`` /
-    ``REPRO_POOL_SIZE``): SQLite releases the GIL inside each step, so one
-    worker's decode overlaps another's evaluation.  Setup — advisory
-    indexes, ANALYZE, shared-scan materialisation — always happens on the
-    writer connection before any statement runs; stats are recorded in
-    package order after all workers join, so a parallel run's
-    :class:`ExecutionStats` match a sequential run's exactly.
-
-    ``shared_scans`` carries the package's
-    :class:`~repro.sql.optimizer.SharedScan` preludes (if the optimizer
-    hoisted any); they are materialised for the duration of the run.
+    Statements run in package order on one connection.  Setup — advisory
+    indexes and ANALYZE — happens on the writer connection before any
+    statement runs.
 
     ``params`` supplies host-parameter values (each statement binds the
-    subset it names).  ``connection`` routes the *serial* batched path to a
-    specific pooled connection — the service layer leases one per request
-    so concurrent requests never contend on the writer connection; the
-    parallel path manages its own pool and ignores it.
+    subset it names).  ``connection`` routes the statements to a specific
+    connection — the service layer leases one reader per request so
+    concurrent requests never contend on the writer connection.
 
     ``tracer`` (a :class:`repro.obs.Tracer`) receives one ``statement``
-    span per member with ``sql``/``decode`` children.  Workers never
-    touch the tracer: like stats, spans are attached post-hoc in package
-    order after all workers join, so a parallel run's trace is
-    deterministic.
+    span per member with ``sql``/``decode`` children.
     """
     from repro.shred.packages import annotations, pmap
 
@@ -385,70 +314,20 @@ def execute_package_batched(
         if stats is not None:
             stats.indexes_created += created
 
-    with shared_scan_tables(db, shared_scans):
-        compiled_members = [compiled for _path, compiled in annotations(sql_package)]
-        workers = min(
-            len(compiled_members),
-            DEFAULT_POOL_SIZE if max_workers is None else max_workers,
-        )
-        if parallel and workers > 1:
-            connections = db.read_connections(workers)
-            outcomes: dict[int, tuple[dict, int, float, float]] = {}
-
-            def run_member(task: tuple[int, CompiledSql]):
-                position, compiled = task
-                lane_connection = connections[position % workers]
-                return position, _run_one_grouped(
-                    db, compiled, batch, connection=lane_connection, params=params
-                )
-
-            # One worker per pooled connection; members are striped over
-            # connections so no two concurrent workers share one.
-            with ThreadPoolExecutor(max_workers=workers) as executor:
-                chunks = [
-                    [
-                        (position, compiled)
-                        for position, compiled in enumerate(compiled_members)
-                        if position % workers == lane
-                    ]
-                    for lane in range(workers)
-                ]
-
-                def run_lane(lane_tasks):
-                    return [run_member(task) for task in lane_tasks]
-
-                for lane_result in executor.map(run_lane, chunks):
-                    for position, outcome in lane_result:
-                        outcomes[position] = outcome
-            results = [outcomes[i][0] for i in range(len(compiled_members))]
-            for position in range(len(compiled_members)):
-                _grouped, rows, millis, decode_millis = outcomes[position]
-                if stats is not None:
-                    stats.record(rows, millis)
-                if tracer is not None:
-                    _record_statement_span(
-                        tracer, rows, millis, decode_millis, index=position
-                    )
-        else:
-            results = []
-            for position, compiled in enumerate(compiled_members):
-                grouped, rows, millis, decode_millis = _run_one_grouped(
-                    db, compiled, batch, connection=connection, params=params
-                )
-                if stats is not None:
-                    stats.record(rows, millis)
-                if tracer is not None:
-                    _record_statement_span(
-                        tracer, rows, millis, decode_millis, index=position
-                    )
-                results.append(grouped)
-
     # pmap's traversal order differs from annotations() (element before
     # annotation), so route results by member identity, not position.
-    by_member = {
-        id(compiled): grouped
-        for compiled, grouped in zip(compiled_members, results)
-    }
+    by_member = {}
+    for position, (_path, compiled) in enumerate(annotations(sql_package)):
+        grouped, rows, millis, decode_millis = _run_one_grouped(
+            db, compiled, batch, connection=connection, params=params
+        )
+        if stats is not None:
+            stats.record(rows, millis)
+        if tracer is not None:
+            _record_statement_span(
+                tracer, rows, millis, decode_millis, index=position
+            )
+        by_member[id(compiled)] = grouped
     return pmap(lambda compiled: by_member[id(compiled)], sql_package)
 
 

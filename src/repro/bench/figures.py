@@ -28,8 +28,8 @@ NESTED = ["Q1", "Q2", "Q3", "Q4", "Q5", "Q6"]
 
 def figure10(config: BenchConfig | None = None) -> str:
     """Fig. 10: QF1-QF6 × {default, shredding, loop-lifting} × scale
-    (plus the cached/batched and optimized/parallel shredding engines
-    for comparison)."""
+    (plus the cached and optimized batched shredding engines for
+    comparison)."""
     results = sweep(
         FLAT,
         [
@@ -49,8 +49,8 @@ def figure11(config: BenchConfig | None = None) -> str:
     loop-lifting, loop-lifting-batched} × scale.
 
     ``shredding_cached`` (plan cache + batched executor) and
-    ``shredding_opt`` (plan cache + logical SQL optimizer + parallel
-    shared-scan executor) ride along so each engine generation is always
+    ``shredding_opt`` (plan cache + logical SQL optimizer + batched
+    executor) ride along so each engine generation is always
     compared against the uncached baseline; ``loop-lifting-batched`` uses
     the same batched decode style so the baseline ablation compares
     engines, not decode styles.

@@ -64,7 +64,7 @@ def _run_shredding(query: Term, db: Database) -> object:
 
 
 class _CachedShreddingRunner:
-    """A stateful shredding system: plan cache + batched/parallel executor.
+    """A stateful shredding system: plan cache + batched executor.
 
     One :class:`PlanCache` lives for the runner's lifetime (pipelines are
     reused per schema fingerprint), so the first run of a (query, options)
@@ -73,8 +73,8 @@ class _CachedShreddingRunner:
     with reusable advisory indexes.
 
     Two registered instances share this class: ``shredding_cached`` (plan
-    cache + batched engine, PR 1) and ``shredding_opt`` (plan cache + the
-    logical SQL optimizer + the parallel shared-scan engine).
+    cache + batched engine) and ``shredding_opt`` (plan cache + the
+    logical SQL optimizer + the batched engine).
 
     ``sweep`` instantiates a fresh runner per sweep (:meth:`fresh`), so
     cold-compile cells stay reproducible regardless of what ran earlier in
@@ -111,10 +111,10 @@ class _CachedShreddingRunner:
 _run_shredding_cached = _CachedShreddingRunner()
 
 #: ``shredding_opt``: the full performance stack — plan cache, the logical
-#: SQL optimizer (projection pruning, pushdown, folding, CTE dedup, shared
-#: scans) and the thread-parallel pooled executor.
+#: SQL optimizer (projection pruning, pushdown, folding, CTE dedup) and the
+#: batched executor.
 _run_shredding_opt = _CachedShreddingRunner(
-    options=SqlOptions(optimize=True), engine="parallel"
+    options=SqlOptions(optimize=True), engine="batched"
 )
 
 
@@ -269,12 +269,11 @@ def sweep(
     Stateful systems get special handling so cells stay comparable:
 
     * a system whose runner declares ``mutates_database`` (the cached and
-      optimized engines create advisory indexes + statistics, and the
-      optimized engine materialises shared scans) runs against its own
-      identically-generated database per scale — one *per system*, so the
-      uncached baselines are never measured on a connection a stateful
-      system touched, and no two stateful systems warm each other's
-      indexes or planner statistics;
+      optimized engines create advisory indexes + statistics) runs
+      against its own identically-generated database per scale — one
+      *per system*, so the uncached baselines are never measured on a
+      connection a stateful system touched, and no two stateful systems
+      warm each other's indexes or planner statistics;
     * a runner with a ``fresh()`` factory is re-instantiated per sweep, so
       cold-compile cells don't depend on what ran earlier in the process.
     """

@@ -39,7 +39,7 @@ SNAPSHOT_ENV = "REPRO_METRICS_SNAPSHOT"
 DEFAULT_SNAPSHOT_PATH = "metrics-snapshot.prom"
 
 #: Engines the service smoke round-trips one query through.
-SERVICE_ENGINES = ("per-path", "batched", "parallel")
+SERVICE_ENGINES = ("per-path", "batched")
 
 #: system → the query it smoke-tests on (flat pipelines can't run nested
 #: queries, the avalanche baseline is too slow for a big one).

@@ -18,8 +18,7 @@ exists (re-infer and compare) and direct structural walks where none does:
     query re-checks against its ``shredded_row_type`` via the Fig. 13
     checker (Theorem 2 as an assertion).
 
-``verify_compiled_sql`` (after codegen, and re-run at package level after
-shared-scan hoisting)
+``verify_compiled_sql`` (after codegen)
     SQL well-formedness: every column reference resolves against its FROM
     scope (schema tables, earlier CTEs, subquery output), the CTE
     dependency graph is acyclic (bodies may only reference *earlier* CTEs
@@ -299,7 +298,6 @@ def _check_expr(
     scope: Mapping[str, tuple[str, ...] | None],
     ctes: Mapping[str, tuple[str, ...]],
     schema: Schema,
-    extra_tables: Mapping[str, tuple[str, ...]] | None,
     stage: str,
     rule: str,
 ) -> None:
@@ -320,18 +318,16 @@ def _check_expr(
                 f"{expr.alias!r} exposes ({', '.join(columns)})",
             )
     elif isinstance(expr, BinOp):
-        _check_expr(expr.left, scope, ctes, schema, extra_tables, stage, rule)
-        _check_expr(expr.right, scope, ctes, schema, extra_tables, stage, rule)
+        _check_expr(expr.left, scope, ctes, schema, stage, rule)
+        _check_expr(expr.right, scope, ctes, schema, stage, rule)
     elif isinstance(expr, NotOp):
-        _check_expr(expr.operand, scope, ctes, schema, extra_tables, stage, rule)
+        _check_expr(expr.operand, scope, ctes, schema, stage, rule)
     elif isinstance(expr, RowNumber):
         for e in expr.order_by:
-            _check_expr(e, scope, ctes, schema, extra_tables, stage, rule)
+            _check_expr(e, scope, ctes, schema, stage, rule)
     elif isinstance(expr, NotExists):
         # EXISTS probes are correlated: they see the enclosing scope.
-        _check_core(
-            expr.select, scope, ctes, schema, extra_tables, stage, rule
-        )
+        _check_core(expr.select, scope, ctes, schema, stage, rule)
 
 
 _MISSING = object()
@@ -342,7 +338,6 @@ def _check_core(
     outer_scope: Mapping[str, tuple[str, ...] | None],
     ctes: Mapping[str, tuple[str, ...]],
     schema: Schema,
-    extra_tables: Mapping[str, tuple[str, ...]] | None,
     stage: str,
     rule: str,
 ) -> None:
@@ -354,8 +349,6 @@ def _check_core(
                 columns: tuple[str, ...] | None = schema.table(
                     item.table
                 ).column_names
-            elif extra_tables is not None and item.table in extra_tables:
-                columns = tuple(extra_tables[item.table])
             else:
                 raise VerifierError(
                     stage,
@@ -375,7 +368,7 @@ def _check_core(
         elif isinstance(item, SubqueryRef):
             # FROM-subqueries must be self-contained: SQLite has no
             # LATERAL, so a correlated one is invalid SQL.
-            _check_core(item.select, {}, ctes, schema, extra_tables, stage, rule)
+            _check_core(item.select, {}, ctes, schema, stage, rule)
             columns = _core_output(item.select)
         else:  # pragma: no cover - no other FromItem exists
             raise VerifierError(
@@ -390,15 +383,14 @@ def _check_core(
         local.add(item.alias)
         scope[item.alias] = columns
     for item in core.items:
-        _check_expr(item.expr, scope, ctes, schema, extra_tables, stage, rule)
+        _check_expr(item.expr, scope, ctes, schema, stage, rule)
     if core.where is not None:
-        _check_expr(core.where, scope, ctes, schema, extra_tables, stage, rule)
+        _check_expr(core.where, scope, ctes, schema, stage, rule)
 
 
 def verify_statement(
     statement: Statement,
     schema: Schema,
-    extra_tables: Mapping[str, tuple[str, ...]] | None = None,
     stage: str = "codegen",
     rule: str = "sql-wellformed",
 ) -> None:
@@ -411,7 +403,7 @@ def verify_statement(
             )
         # A CTE body sees only *earlier* CTEs — `defined` so far — which
         # makes the dependency graph acyclic by construction of this check.
-        _check_core(core, {}, defined, schema, extra_tables, stage, rule)
+        _check_core(core, {}, defined, schema, stage, rule)
         if not core.items:
             raise VerifierError(
                 stage, rule, f"CTE {name!r} exposes no columns"
@@ -425,7 +417,7 @@ def verify_statement(
         if statement.order_by:
             expected = expected + tuple(statement.order_by)
     for position, core in enumerate(statement.selects):
-        _check_core(core, {}, defined, schema, extra_tables, stage, rule)
+        _check_core(core, {}, defined, schema, stage, rule)
         if expected is not None and _core_output(core) != expected:
             raise VerifierError(
                 stage,
@@ -446,7 +438,6 @@ def verify_statement(
 def verify_compiled_sql(
     compiled,
     schema: Schema,
-    extra_tables: Mapping[str, tuple[str, ...]] | None = None,
     declared_params: Iterable[str] | None = None,
     stage: str = "codegen",
 ) -> None:
@@ -455,7 +446,7 @@ def verify_compiled_sql(
     placeholder bookkeeping."""
     from repro.flatten.flatten import flatten_type
 
-    verify_statement(compiled.statement, schema, extra_tables, stage)
+    verify_statement(compiled.statement, schema, stage)
     expected_names = tuple(
         c.name for c in flatten_type(compiled.row_type, compiled.width_fn)
     )
@@ -494,13 +485,10 @@ def verify_compiled_sql(
 def verify_compiled_package(
     sql_package,
     result_type: Type,
-    schema: Schema,
     param_specs: Iterable[tuple[str, object]],
-    shared_scans: tuple = (),
 ) -> None:
-    """Package-level verifier: shape, per-member placeholder discipline, and
-    (after shared-scan hoisting rewrote statements) re-verification of every
-    member against the schema extended with the scan tables."""
+    """Package-level verifier: shape and per-member placeholder
+    discipline."""
     from repro.shred.packages import annotations, erase
 
     erased = erase(sql_package)
@@ -511,13 +499,6 @@ def verify_compiled_package(
             f"SQL package erases to {erased}, expected {result_type}",
         )
     declared = {name for name, _type in param_specs}
-    scan_tables = {
-        scan.name: _core_output(scan.select) for scan in shared_scans
-    }
-    for scan in shared_scans:
-        _check_core(
-            scan.select, {}, {}, schema, None, "package", "sql-wellformed"
-        )
     for path, compiled in annotations(sql_package):
         undeclared = set(compiled.params) - declared
         if undeclared:
@@ -526,10 +507,6 @@ def verify_compiled_package(
                 "placeholder-set",
                 f"statement at {path} binds undeclared parameter(s) "
                 + ", ".join(f":{name}" for name in sorted(undeclared)),
-            )
-        if shared_scans:
-            verify_compiled_sql(
-                compiled, schema, extra_tables=scan_tables, stage="package"
             )
 
 

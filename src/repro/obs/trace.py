@@ -25,13 +25,11 @@ Design constraints, in order:
 * **zero overhead when off** — every instrumented call site takes
   ``tracer=None`` and guards with a single None check; no global state,
   no thread-locals consulted on the fast path;
-* **deterministic under parallelism** — the tracer itself is
+* **deterministic under concurrency** — the tracer itself is
   *single-threaded* (the owning request's thread).  Concurrent stages
-  (the parallel engine's workers, the fan-out client's sub-requests)
-  measure locally and the coordinator attaches their spans **post-hoc in
-  deterministic order** via :meth:`Span.record` after joining, exactly
-  like :class:`~repro.backend.executor.ExecutionStats` records parallel
-  outcomes in package order;
+  (the fan-out client's sub-requests) measure locally and the
+  coordinator attaches their spans **post-hoc in deterministic order**
+  via :meth:`Span.record` after joining;
 * **clock-injectable** — tests pass a fake clock and assert exact
   durations.
 
@@ -87,7 +85,7 @@ class Span:
         **attributes: object,
     ) -> "Span":
         """Append a pre-measured child span (the post-hoc path used after
-        parallel workers join — call in deterministic order)."""
+        concurrent sub-requests join — call in deterministic order)."""
         child = Span(name, start_ms, duration_ms, **attributes)
         self.children.append(child)
         return child

@@ -73,11 +73,13 @@ __all__ = [
     "shred_sql",
     "KNOWN_ENGINES",
     "validate_engine",
+    "validate_collection",
 ]
 
 #: The execution engines :meth:`CompiledQuery.run` accepts (the façade's
-#: ``"auto"`` resolves to one of these before reaching the pipeline).
-KNOWN_ENGINES = ("per-path", "batched", "parallel")
+#: ``"auto"`` is accepted as a spelling of ``"batched"`` and resolved
+#: before reaching the pipeline).
+KNOWN_ENGINES = ("per-path", "batched")
 
 #: Python value classes accepted per declared parameter base type (bool is
 #: excluded from Int — it is a subclass, but binding True to an Int
@@ -127,6 +129,12 @@ def validate_engine(engine: str, extra: tuple[str, ...] = ()) -> None:
         )
 
 
+def validate_collection(collection: str) -> None:
+    """Reject unknown §9 collection semantics up front."""
+    if collection not in ("bag", "set", "list"):
+        raise ShreddingError(f"unknown collection semantics {collection!r}")
+
+
 @dataclass
 class CompiledQuery:
     """A nested query compiled to its package of flat SQL queries.
@@ -144,16 +152,13 @@ class CompiledQuery:
     sql_package: Package  # annotations: CompiledSql
     options: SqlOptions
     cache_key: PlanKey | None = field(default=None, compare=False)
-    #: Materialise-once common subplans hoisted across the package's
-    #: statements by the optimizer (empty unless ``options.optimize``).
-    shared_scans: tuple = field(default=(), compare=False)
     #: Host parameters of the query term, as sorted (name, BaseType) pairs:
     #: the prepared-statement signature every ``run(params=…)`` must bind.
     param_specs: tuple = field(default=())
     #: Optimizer rules that rewrote at least one statement of the package,
-    #: in rule order (plus ``"opt_shared"`` when scans were hoisted) — the
-    #: fired-rule trace ``Prepared.explain()`` and ``ExecutionStats``
-    #: surface.  Empty when the optimizer is off or every rule was inert.
+    #: in rule order — the fired-rule trace ``Prepared.explain()`` and
+    #: ``ExecutionStats`` surface.  Empty when the optimizer is off or every
+    #: rule was inert.
     fired_rules: tuple = field(default=(), compare=False)
 
     @property
@@ -271,42 +276,36 @@ class CompiledQuery:
         * ``"per-path"`` (default) — one
           :func:`~repro.backend.executor.execute_compiled` call per
           shredded query, decoding into ⟨index, value⟩ pair lists;
-        * ``"batched"`` — all queries of the package in one pass over the
-          shared connection, with precompiled tuple decoders, advisory
-          SQLite indexes (``create_indexes``) and results pre-grouped by
-          outer index so one-pass stitching never rebuilds a dict.  The
-          fast path for repeated execution of a cached plan; requires
+        * ``"batched"`` — all queries of the package in one pass over one
+          connection, with precompiled tuple decoders, advisory SQLite
+          indexes (``create_indexes``) and results pre-grouped by outer
+          index so one-pass stitching never rebuilds a dict.  The fast
+          path for repeated execution of a cached plan; requires
           ``one_pass_stitch``.
-        * ``"parallel"`` — the batched engine fanned across a pool of
-          read-only connections, one worker thread per package member
-          (``REPRO_POOL_SIZE`` caps the pool).  Same results, same stats,
-          overlapping SQLite evaluation with Python-side decode.
 
         ``batch_size`` bounds rows per ``fetchmany`` round trip (default
         ``REPRO_FETCH_BATCH``, 1024).
 
         ``params`` binds the query's host parameters (validated against the
         declared :attr:`param_specs` — the compile-once / re-bind-per-call
-        prepared-statement path).  ``connection`` routes the batched engine
-        onto a specific pooled read connection (service-layer leases).
+        prepared-statement path).  ``connection`` routes the statements
+        onto a specific read connection (service-layer leases).
 
         ``tracer`` (a :class:`repro.obs.Tracer`) receives ``execute``
         (with per-statement children) and ``stitch`` spans.
         """
         validate_engine(engine)
         bound = self.check_params(params)
-        if collection not in ("bag", "set", "list"):
-            raise ShreddingError(f"unknown collection semantics {collection!r}")
+        validate_collection(collection)
         if collection == "list" and not self.options.ordered:
             raise ShreddingError(
                 "list-semantics output needs SqlOptions(ordered=True)"
             )
-        if engine in ("batched", "parallel"):
+        if engine == "batched":
             if not one_pass_stitch:
                 raise ShreddingError(
-                    "the batched/parallel engines produce pre-grouped "
-                    "results; use one_pass_stitch=True (or the per-path "
-                    "engine)"
+                    "the batched engine produces pre-grouped results; use "
+                    "one_pass_stitch=True (or the per-path engine)"
                 )
             with _span(tracer, "execute", engine=engine):
                 results = execute_package_batched(
@@ -315,37 +314,30 @@ class CompiledQuery:
                     stats=stats,
                     create_indexes=create_indexes,
                     batch_size=batch_size,
-                    parallel=(engine == "parallel"),
-                    shared_scans=self.shared_scans,
                     params=bound,
                     connection=connection,
                     tracer=tracer,
                 )
             with _span(tracer, "stitch"):
                 value = stitch_grouped(results, self._top_key())
-        elif engine == "per-path":
-            from repro.backend.executor import shared_scan_tables
-
+        else:  # per-path (validate_engine admitted nothing else)
             with _span(tracer, "execute", engine=engine):
-                with shared_scan_tables(db, self.shared_scans):
-                    results = package_from(
-                        self.result_type,
-                        lambda path: execute_compiled(
-                            db,
-                            self.sql_at(path),
-                            stats,
-                            batch_size=batch_size,
-                            params=bound,
-                            connection=connection,
-                            tracer=tracer,
-                        ),
-                    )
+                results = package_from(
+                    self.result_type,
+                    lambda path: execute_compiled(
+                        db,
+                        self.sql_at(path),
+                        stats,
+                        batch_size=batch_size,
+                        params=bound,
+                        connection=connection,
+                        tracer=tracer,
+                    ),
+                )
             with _span(tracer, "stitch"):
                 value = stitch(
                     results, self._top_index_fn(), one_pass=one_pass_stitch
                 )
-        else:
-            raise ShreddingError(f"unknown execution engine {engine!r}")
         if collection == "set":
             from repro.values import dedup_nested
 
@@ -511,22 +503,11 @@ class ShreddingPipeline:
                 )
 
         sql_package = package_from(result_type, codegen_at)
-        shared_scans: tuple = ()
-        if self.options.optimize and self.options.opt_shared:
-            sql_package, shared_scans = _hoist_shared_scans(
-                sql_package, self.options
-            )
         param_specs = collect_param_specs(query)
         if verify:
             from repro.check.verifier import verify_compiled_package
 
-            verify_compiled_package(
-                sql_package,
-                result_type,
-                self.schema,
-                param_specs,
-                shared_scans,
-            )
+            verify_compiled_package(sql_package, result_type, param_specs)
         return CompiledQuery(
             schema=self.schema,
             result_type=result_type,
@@ -535,9 +516,8 @@ class ShreddingPipeline:
             sql_package=sql_package,
             options=self.options,
             cache_key=cache_key,
-            shared_scans=shared_scans,
             param_specs=param_specs,
-            fired_rules=_package_fired_rules(sql_package, shared_scans),
+            fired_rules=_package_fired_rules(sql_package),
         )
 
     def run(self, query: ast.Term, db: Database, **kwargs) -> NestedValue:
@@ -582,54 +562,17 @@ class ShreddingPipeline:
             check_let_query(let_insert(shredded), expected, self.schema)
 
 
-def _package_fired_rules(sql_package: Package, shared_scans: tuple) -> tuple:
+def _package_fired_rules(sql_package: Package) -> tuple:
     """The package's fired-rule trace: every statement-local rule that
-    rewrote at least one member (in the optimizer's application order),
-    plus ``opt_shared`` when the package-level hoist found scans."""
+    rewrote at least one member (in the optimizer's application order)."""
     from repro.sql.optimizer import statement_rule_names
 
     fired_anywhere: set[str] = set()
     for _path, compiled in annotations(sql_package):
         fired_anywhere.update(compiled.fired_rules)
-    fired = [
+    return tuple(
         flag for flag, _desc in statement_rule_names if flag in fired_anywhere
-    ]
-    if shared_scans:
-        fired.append("opt_shared")
-    return tuple(fired)
-
-
-def _hoist_shared_scans(sql_package: Package, options: SqlOptions):
-    """Package-level optimisation: hoist CTE bodies shared by ≥2 statements
-    into materialise-once :class:`~repro.sql.optimizer.SharedScan` preludes,
-    rewriting each member's statement (and re-rendering its SQL) in place of
-    the removed CTEs.  Decode metadata is untouched — only CTEs move."""
-    from dataclasses import replace
-
-    from repro.sql.ast import placeholder_names
-    from repro.sql.optimizer import extract_shared_scans
-    from repro.sql.render import render_statement
-
-    members = [compiled for _path, compiled in annotations(sql_package)]
-    statements = [compiled.statement for compiled in members]
-    rewritten, shared_scans = extract_shared_scans(statements)
-    if not shared_scans:
-        return sql_package, ()
-    by_member = {}
-    for compiled, statement in zip(members, rewritten):
-        if statement == compiled.statement:
-            by_member[id(compiled)] = compiled
-        else:
-            by_member[id(compiled)] = replace(
-                compiled,
-                statement=statement,
-                sql=render_statement(statement, options.pretty),
-                params=placeholder_names(statement),
-                index_hints=None,
-            )
-    from repro.shred.packages import pmap
-
-    return pmap(lambda compiled: by_member[id(compiled)], sql_package), shared_scans
+    )
 
 
 def shred_run(

@@ -56,6 +56,7 @@ from repro.errors import (
     OverloadedError,
     ServiceError,
 )
+from repro.pipeline.shredder import validate_collection, validate_engine
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     error_payload,
@@ -200,9 +201,8 @@ class QueryServer:
         self._dispatching = 0
         self._drained = asyncio.Event()
         self._drained.set()
-        # Dedicated reader connections (not the shared read pool, which
-        # the parallel engine stripes every run over): each request runs on
-        # a connection no other executor can touch, so concurrent SQLite
+        # One dedicated reader connection per lease: each request runs on
+        # a connection no other request can touch, so concurrent SQLite
         # steps never contend on one connection's serialisation mutex.
         connections = self.session.db.dedicated_read_connections(self.pool_size)
         self._leases = asyncio.Queue()
@@ -452,7 +452,7 @@ class QueryServer:
             "params": {
                 name: str(declared) for name, declared in compiled.param_specs
             },
-            "engine": self.session.resolve_engine(None, compiled),
+            "engine": self.session.resolve_engine(),
             "description": entry.description,
         }
 
@@ -532,6 +532,10 @@ class QueryServer:
             raise ServiceError(
                 f"'deadline_ms' must be a positive number, got {deadline_ms!r}"
             )
+        # Reject bad names here, not on the worker thread: a request naming
+        # an unknown engine must not wait for (and then probe) a lease.
+        validate_engine(engine, extra=("auto",))
+        validate_collection(collection)
         prepared = entry.prepared(self.session)
         assert self._leases is not None, "server not started"
         lease = await self._leases.get()

@@ -135,10 +135,8 @@ class ShardedDatabase:
         """Insert rows, routing each to its owning shard.
 
         A sharded table's rows land on exactly the shards that own them —
-        a shard that receives no rows is **not** touched at all, so its
-        data version (and any live shared-scan materialisations) survive
-        an insert that only concerns other shards.  Replicated tables
-        insert everywhere.
+        a shard that receives no rows is **not** touched at all.
+        Replicated tables insert everywhere.
 
         The full-copy shard receives the rows *first*: its insert
         validates the whole batch against the schema (and row grouping

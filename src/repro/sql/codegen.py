@@ -110,7 +110,6 @@ class SqlOptions:
     opt_dedup: bool = True  # within-statement CTE deduplication
     opt_pushdown: bool = True  # predicate pushdown into CTEs/subqueries
     opt_prune: bool = True  # CTE projection pruning
-    opt_shared: bool = True  # cross-statement shared scans (package level)
     #: Stage verification (:mod:`repro.check`): ``True``/``False`` force it,
     #: ``None`` (default) defers to ``REPRO_VERIFY`` / pytest-or-CI
     #: detection (see :func:`repro.check.verifier.verification_enabled`).

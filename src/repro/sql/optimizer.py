@@ -2,8 +2,8 @@
 
 The shredding translation emits deliberately naive SQL: every comprehension
 re-exposes all outer columns, conditions arrive as the normaliser left them
-(``NOT (NOT …)`` chains from ``empty`` hoisting), and the N statements of a
-package each recompute the same outer joins.  This module is a small
+(``NOT (NOT …)`` chains from ``empty`` hoisting), and sibling union
+branches repeat the same outer CTEs.  This module is a small
 rewrite engine over the :mod:`repro.sql.ast` that cleans all of that up
 *without* changing any statement's result multiset:
 
@@ -29,21 +29,11 @@ Statement-local rules (``optimize_statement``):
   current output* — every generated outer CTE/subquery carries an ``idx``
   row number — so today they pay off only on hand-built statements and
   future scheme variants; the measured package speedups come from fold,
-  dedup, prune and shared scans;
+  dedup and prune;
 * **projection pruning** (``opt_prune``) — CTE select items never
   referenced by any consumer are dropped (narrower materialisation), and
   CTEs referenced by nobody disappear.  The *main* selects are never
   pruned: their item list is the decode contract.
-
-Package-level rule (``extract_shared_scans``, ``opt_shared``):
-
-* **cross-statement CTE sharing** — a CTE body appearing in ≥2 statements
-  of a shredded package is hoisted out of every statement into one
-  package-level :class:`SharedScan`.  The executor materialises each scan
-  once per package run (``CREATE TABLE … AS SELECT``, visible to every
-  pooled connection, dropped afterwards) and the statements reference it
-  as a plain table, so the package performs one scan-and-number pass per
-  shared subplan instead of one per statement.
 
 Soundness invariants every rule preserves:
 
@@ -58,8 +48,6 @@ Soundness invariants every rule preserves:
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.sql.ast import (
@@ -80,9 +68,7 @@ from repro.sql.ast import (
 from repro.sql.render import render_select
 
 __all__ = [
-    "SharedScan",
     "optimize_statement",
-    "extract_shared_scans",
     "fold_expr",
     "statement_rule_names",
     "STATEMENT_RULES",
@@ -654,121 +640,3 @@ def optimize_statement(
             on_rewrite(flag, statement, rewritten)
         statement = rewritten
     return statement
-
-
-# --------------------------------------------------------------------------
-# Package-level rule: cross-statement shared scans.
-
-
-@dataclass(frozen=True)
-class SharedScan:
-    """One materialised common subplan of a shredded package.
-
-    The executor runs ``create_sql`` once per package execution (before any
-    member statement, on the writer connection so every pooled reader sees
-    it) and ``drop_sql`` afterwards.  ``name`` is content-addressed, so
-    value-identical scans of different plans coexist deterministically.
-    """
-
-    name: str
-    select: SelectCore
-    create_sql: str
-    drop_sql: str
-
-
-def _scan_name(body: str) -> str:
-    return "qss_" + hashlib.sha1(body.encode()).hexdigest()[:12]
-
-
-def extract_shared_scans(
-    statements: list[Statement], min_statements: int = 2
-) -> tuple[list[Statement], tuple[SharedScan, ...]]:
-    """Hoist CTE bodies shared by ≥ ``min_statements`` statements.
-
-    Returns the rewritten statements (shared CTEs removed, their
-    references turned into plain table references) plus the scans to
-    materialise, in first-appearance order.  Statements are otherwise
-    untouched; a body used twice *within* one statement only is left to
-    the within-statement dedup rule + SQLite's own CTE materialisation.
-    """
-    from repro.backend.database import quote_identifier
-    from repro.sql.ast import placeholder_names
-
-    body_statements: dict[str, set[int]] = {}
-    body_core: dict[str, SelectCore] = {}
-    body_order: list[str] = []
-    for position, statement in enumerate(statements):
-        for _name, core in statement.ctes:
-            body = render_select(core)
-            if placeholder_names(Statement((), (core,))):
-                # A host-parameter placeholder cannot be bound inside a
-                # materialise-once CREATE TABLE … AS prelude; leave the CTE
-                # in place (it binds per-statement like any other).
-                continue
-            if body not in body_statements:
-                body_statements[body] = set()
-                body_core[body] = core
-                body_order.append(body)
-            body_statements[body].add(position)
-
-    shared_bodies = [
-        body
-        for body in body_order
-        if len(body_statements[body]) >= min_statements
-    ]
-    if not shared_bodies:
-        return list(statements), ()
-
-    scans = tuple(
-        SharedScan(
-            name=_scan_name(body),
-            select=body_core[body],
-            create_sql=(
-                f"CREATE TABLE {quote_identifier(_scan_name(body))} "
-                f"AS {body}"
-            ),
-            drop_sql=f"DROP TABLE IF EXISTS {quote_identifier(_scan_name(body))}",
-        )
-        for body in shared_bodies
-    )
-    shared_names = {body: _scan_name(body) for body in shared_bodies}
-
-    rewritten: list[Statement] = []
-    for statement in statements:
-        cte_to_scan = {
-            name: shared_names[render_select(core)]
-            for name, core in statement.ctes
-            if render_select(core) in shared_names
-        }
-        if not cte_to_scan:
-            rewritten.append(statement)
-            continue
-        kept_ctes = tuple(
-            (name, core)
-            for name, core in statement.ctes
-            if name not in cte_to_scan
-        )
-
-        def remap(
-            core: SelectCore, _map: dict[str, str] = cte_to_scan
-        ) -> SelectCore:
-            from_items = tuple(
-                TableRef(_map[item.cte], item.alias)
-                if isinstance(item, CteRef) and item.cte in _map
-                else item
-                for item in core.from_items
-            )
-            return SelectCore(core.items, from_items, core.where)
-
-        rewritten.append(
-            _map_cores(
-                Statement(
-                    kept_ctes,
-                    statement.selects,
-                    statement.columns,
-                    statement.order_by,
-                ),
-                remap,
-            )
-        )
-    return rewritten, scans

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.api import PARALLEL_THRESHOLD, Session, connect
+from repro.api import Session, connect
 from repro.data.organisation import ORGANISATION_SCHEMA, figure3_database
 from repro.data.queries import NESTED_QUERIES, QF4, QF5, Q1
 from repro.errors import ShreddingError, UnknownTableError
@@ -36,22 +36,16 @@ class TestPaperQueriesEndToEnd:
         assert bag_equal(result.value, evaluate(term, db)), name
 
     @pytest.mark.parametrize("name", sorted(NESTED_QUERIES))
-    @pytest.mark.parametrize("engine", ["per-path", "batched", "parallel"])
+    @pytest.mark.parametrize("engine", ["per-path", "batched"])
     def test_every_engine_matches_auto(self, session, name, engine):
         term = NESTED_QUERIES[name]
         auto = session.query(term).run()
         explicit = session.query(term).run(engine=engine)
         assert bag_equal(auto.value, explicit.value), (name, engine)
 
-    def test_auto_resolution_follows_package_shape(self, session):
+    def test_auto_resolves_to_batched(self, session):
         for name, term in NESTED_QUERIES.items():
-            prepared = session.query(term)
-            expected = (
-                "parallel"
-                if prepared.query_count >= PARALLEL_THRESHOLD
-                else "batched"
-            )
-            assert prepared.run().engine == expected, name
+            assert session.query(term).run().engine == "batched", name
 
 
 class TestFluentBuilder:
@@ -269,7 +263,7 @@ class TestEngineValidation:
         message = str(excinfo.value)
         assert "per-path" in message
         assert "batched" in message
-        assert "parallel" in message
+        assert "parallel" not in message
 
     def test_auto_never_reaches_the_pipeline(self, session, db):
         compiled = session.compile(Q1)

@@ -76,7 +76,7 @@ class TestDurableMode:
 
     def test_readers_are_query_only(self, store_path):
         db = Database(ORGANISATION_SCHEMA, _seed_tables(), path=store_path)
-        (reader,) = db.read_connections(1)
+        (reader,) = db.dedicated_read_connections(1)
         with pytest.raises(sqlite3.OperationalError):
             reader.execute("DELETE FROM departments")
 

@@ -8,8 +8,8 @@ Three layers of claims:
   idempotent, label schemas are enforced;
 * exposition — ``render_prometheus`` emits valid 0.0.4 text that our own
   strict parser round-trips, byte-stable for a given state;
-* determinism — counters driven from many threads (the parallel engine,
-  a session hammer) land *exactly*, mirroring ``session.stats``.
+* determinism — counters driven from many threads (a session hammer)
+  land *exactly*, mirroring ``session.stats``.
 """
 
 from __future__ import annotations
@@ -315,20 +315,6 @@ class TestSessionMetrics:
         }
         assert fired == dict(session.stats.rules_fired)
         assert fired  # Q6 with the optimizer on fires at least one rule
-
-    def test_parallel_engine_counts_match_batched(self):
-        results = {}
-        for engine in ("batched", "parallel"):
-            registry = MetricsRegistry()
-            session = connect(figure3_database(), metrics=registry)
-            for name in QUERY_NAMES:
-                session.run(NESTED_QUERIES[name], engine=engine)
-            results[engine] = (
-                registry.get("statements_total").value,
-                registry.get("rows_fetched_total").value,
-                registry.get("statement_latency_ms")._solo().snapshot()["count"],
-            )
-        assert results["parallel"] == results["batched"]
 
     def test_hammered_session_metrics_are_exact(self):
         registry = MetricsRegistry()

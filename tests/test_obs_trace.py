@@ -7,8 +7,7 @@ vs ``decode`` split, ``stitch`` — and the stage spans **sum to within
 the recorded total wall time** (children never exceed their parent).
 
 Plus the tracer's own contract: clock-injectable exact durations,
-deterministic post-hoc recording (the parallel engine attaches worker
-measurements in package order after joining), JSON export, rendering.
+deterministic post-hoc recording, JSON export, rendering.
 """
 
 from __future__ import annotations
@@ -192,17 +191,16 @@ class TestTracedPipeline:
         assert result is not None
         assert fired == set(session.stats.rules_fired)
 
-    def test_parallel_engine_spans_in_package_order(self, db):
+    def test_batched_engine_spans_in_package_order(self, db):
         session = connect(db, cache=False)
         result = session.query(NESTED_QUERIES["Q6"]).run(
-            trace=True, engine="parallel"
+            trace=True, engine="batched"
         )
         (execute,) = [
             s for s in result.trace.root.children if s.name == "execute"
         ]
-        assert execute.attributes["engine"] == "parallel"
+        assert execute.attributes["engine"] == "batched"
         statements = [c for c in execute.children if c.name == "statement"]
-        # Workers raced, but the coordinator attached in package order.
         assert [s.attributes["index"] for s in statements] == [0, 1, 2]
 
     def test_untraced_run_allocates_no_tracer(self, db):
@@ -246,8 +244,4 @@ class TestExplainSurface:
         session = connect(figure3_database(), cache=False)
         payload = session.query(NESTED_QUERIES["Q1"]).explain(json=True)
         assert "trace" not in payload
-        assert payload["engine"]["resolved"] in (
-            "per-path",
-            "batched",
-            "parallel",
-        )
+        assert payload["engine"]["resolved"] == "batched"

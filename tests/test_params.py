@@ -98,7 +98,7 @@ class TestParamNode:
 
 
 class TestParamExecution:
-    @pytest.mark.parametrize("engine", ["per-path", "batched", "parallel"])
+    @pytest.mark.parametrize("engine", ["per-path", "batched"])
     def test_rebinding_matches_substituted_constants(self, db, engine):
         session = connect(db, cache=False)
         prepared = session.prepare(_staff_above(ast.Param("min_salary", INT)))

@@ -1,8 +1,8 @@
 """Tests for the optimizer's fired-rule trace.
 
 ``CompiledSql.fired_rules`` records which ``opt_*`` rules actually changed
-each statement; ``CompiledQuery.fired_rules`` aggregates them per package
-(plus ``opt_shared`` when scans were hoisted); ``Prepared.explain()`` and
+each statement; ``CompiledQuery.fired_rules`` aggregates them per
+package; ``Prepared.explain()`` and
 ``ExecutionStats.rules_fired`` surface them.  The trace also *documents* a
 fact the optimizer docstring only claims: ``opt_pushdown`` and
 ``opt_flatten`` are inert on the flat scheme's own output (every generated
@@ -42,7 +42,7 @@ class TestFiredRuleTrace:
     def test_trace_order_follows_rule_order(self):
         from repro.sql.optimizer import statement_rule_names
 
-        order = [flag for flag, _ in statement_rule_names] + ["opt_shared"]
+        order = [flag for flag, _ in statement_rule_names]
         for name, query in ALL_QUERIES.items():
             compiled = ShreddingPipeline(
                 SCHEMA, SqlOptions(optimize=True)

@@ -63,7 +63,7 @@ class TestWireResults:
         direct = service.server.session.run(NESTED_QUERIES[name]).value
         assert bag_equal(served, direct), name
 
-    @pytest.mark.parametrize("engine", ["per-path", "batched", "parallel"])
+    @pytest.mark.parametrize("engine", ["per-path", "batched"])
     def test_engines_agree_over_the_wire(self, service, client, engine):
         served = client.execute("Q4", engine=engine)
         direct = service.server.session.run(NESTED_QUERIES["Q4"]).value
@@ -361,6 +361,56 @@ class TestServerLifecycle:
                     ]
                 finally:
                     monkeypatch.undo()
+
+
+class TestRequestValidation:
+    def test_bad_engine_or_collection_rejected_without_a_lease(self):
+        # With every lease held, a request naming an unknown engine (an
+        # older client's "parallel" included) or collection must get its
+        # error frame at once: it never queues for a lease, so the lease
+        # queue is untouched and no lease-health probe runs.
+        from repro.service import QueryServer
+        from repro.service.protocol import frame_length
+
+        session = connect(figure3_database(), cache=PlanCache())
+        server = QueryServer(session, paper_registry(), pool_size=2)
+        bad_requests = [
+            {"op": "execute", "query": "Q1", "engine": "parallel"},
+            {"op": "execute", "query": "Q1", "engine": "warp-drive"},
+            {"op": "execute", "query": "Q1", "collection": "tree"},
+        ]
+
+        async def scenario() -> list:
+            host, port = await server.start()
+            held = [server._leases.get_nowait() for _ in range(2)]
+            reader, writer = await asyncio.open_connection(host, port)
+            responses = []
+            try:
+                for request in bad_requests:
+                    writer.write(pack_frame(request))
+                    await writer.drain()
+                    prefix = await asyncio.wait_for(reader.readexactly(4), 5)
+                    body = await reader.readexactly(frame_length(prefix))
+                    responses.append(
+                        (split_frame(body), server._leases.qsize())
+                    )
+            finally:
+                writer.close()
+                for lease in held:
+                    server._leases.put_nowait(lease)
+                await server.stop()
+            return responses
+
+        responses = asyncio.run(scenario())
+        for response, queued in responses:
+            assert response["ok"] is False
+            assert response["error"]["type"] == "ShreddingError"
+            assert queued == 0
+        for response, _queued in responses[:2]:
+            assert "known engines: auto, per-path, batched" in (
+                response["error"]["message"]
+            )
+        assert "tree" in responses[2][0]["error"]["message"]
 
 
 class TestRegistry:

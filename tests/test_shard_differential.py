@@ -58,7 +58,7 @@ from .strategies import queries_with_bindings
 
 PLACEMENT = organisation_placement()
 SHARD_COUNTS = (2, 3, 4)
-ENGINES = ("per-path", "batched", "parallel")
+ENGINES = ("per-path", "batched")
 DEPTS = ("Product", "Quality", "Research", "Sales")
 
 #: One shared catalogue: every in-process server (all shard counts, all

@@ -289,45 +289,6 @@ class TestShardedDatabase:
         for store in [*sdb.shards, sdb.full]:
             assert any(r["name"] == "Zoe" for r in store.rows("employees"))
 
-    def test_insert_bumps_owning_shard_version_only(self):
-        """Regression: an insert routed to shard 0 must not invalidate
-        shard 1's shared-scan version or its live materialisations."""
-        sdb = ShardedDatabase(figure3_database(), PLACEMENT, 2)
-        names = _dept_names_by_shard(2)
-        assert names[0] and names[1], "fig. 3 depts should span both shards"
-        new_name = next(
-            f"Zz{i}" for i in range(1000) if shard_for(f"Zz{i}", 2) == 0
-        )
-
-        # A live shared-scan materialisation on shard 1.
-        from repro.sql.ast import Col, SelectCore, SelectItem, TableRef
-        from repro.sql.optimizer import SharedScan
-
-        scan = SharedScan(
-            name="qss_shard1_probe",
-            select=SelectCore(
-                (SelectItem(Col("d", "name"), "name"),),
-                (TableRef("departments", "d"),),
-            ),
-            create_sql='CREATE TABLE "qss_shard1_probe" AS '
-            'SELECT "d"."name" AS "name" FROM "departments" AS "d"',
-            drop_sql='DROP TABLE IF EXISTS "qss_shard1_probe"',
-        )
-        shard1 = sdb.shards[1]
-        shard1.acquire_shared_scan(scan)
-        version_before = shard1._data_version
-
-        sdb.insert("departments", [{"id": 99, "name": new_name}])
-
-        assert sdb.shards[0]._data_version > 0
-        assert shard1._data_version == version_before
-        # The scan is still fresh: re-acquiring must not wait or recreate.
-        shard1.acquire_shared_scan(scan)
-        assert shard1._scan_refs[scan.name][0] == 2
-        shard1.release_shared_scan(scan)
-        shard1.release_shared_scan(scan)
-        assert shard1._scan_refs == {}
-
     def test_failed_insert_touches_no_store(self):
         """A batch that fails validation must leave every store unchanged:
         the full-copy shard validates first, so partitions never hold rows

@@ -30,17 +30,13 @@ from repro.sql.ast import (
     TableRef,
 )
 from repro.sql.codegen import SqlOptions
-from repro.sql.optimizer import (
-    extract_shared_scans,
-    fold_expr,
-    optimize_statement,
-)
+from repro.sql.optimizer import fold_expr, optimize_statement
 from repro.values import bag_equal
 
 from .strategies import queries_with_nesting
 
 OPT = SqlOptions(optimize=True)
-ENGINES = ["per-path", "batched", "parallel"]
+ENGINES = ["per-path", "batched"]
 
 
 def _statement(selects, ctes=()):
@@ -270,41 +266,6 @@ def test_multi_alias_conjuncts_stay_put():
 
 
 # --------------------------------------------------------------------------
-# Cross-statement shared scans.
-
-
-def test_shared_scans_hoist_cross_statement_ctes():
-    consumer = lambda alias: SelectCore(  # noqa: E731
-        (SelectItem(Col(alias, "c1_name"), "a"),), (CteRef("q1", alias),)
-    )
-    s1 = _statement([consumer("z1")], [("q1", _dept_cte())])
-    s2 = _statement([consumer("z2")], [("q1", _dept_cte())])
-    rewritten, scans = extract_shared_scans([s1, s2])
-    assert len(scans) == 1
-    assert scans[0].create_sql.startswith("CREATE TABLE")
-    for statement in rewritten:
-        assert statement.ctes == ()
-        (from_item,) = statement.selects[0].from_items
-        assert isinstance(from_item, TableRef)
-        assert from_item.table == scans[0].name
-
-
-def test_no_shared_scan_for_single_statement_bodies():
-    s1 = _statement(
-        [
-            SelectCore(
-                (SelectItem(Col("z1", "c1_name"), "a"),), (CteRef("q1", "z1"),)
-            )
-        ],
-        [("q1", _dept_cte())],
-    )
-    s2 = _statement([SelectCore((SelectItem(Lit(1), "a"),), ())])
-    rewritten, scans = extract_shared_scans([s1, s2])
-    assert scans == ()
-    assert rewritten[0] == s1
-
-
-# --------------------------------------------------------------------------
 # End-to-end soundness: optimised ≡ unoptimised.
 
 
@@ -358,7 +319,6 @@ def test_per_rule_flags_isolate_rules(db):
         "opt_dedup",
         "opt_pushdown",
         "opt_prune",
-        "opt_shared",
     ):
         options = SqlOptions(optimize=True, **{flag: False})
         actual = ShreddingPipeline(db.schema, options).run(
@@ -377,7 +337,7 @@ def test_optimize_flag_is_part_of_the_plan_cache_key(schema):
     assert len({base, optimized, pruneless}) == 3
 
 
-def test_cached_optimized_plans_reuse_shared_scans(db):
+def test_cached_optimized_sibling_bag_plans_are_reused(db):
     cache = PlanCache()
     pipeline = ShreddingPipeline(db.schema, OPT, cache=cache)
     from repro.nrc import builders as b
@@ -406,7 +366,6 @@ def test_cached_optimized_plans_reuse_shared_scans(db):
         ),
     )
     first = pipeline.compile(query)
-    assert first.shared_scans, "sibling bags over one outer query must share"
     again = pipeline.compile(query)
     assert again is first
     expected = ShreddingPipeline(db.schema).run(query, db)
